@@ -22,7 +22,9 @@ guard-free entry is safe), and the k-CFA precision lattice (whether the
 compilation context proves the site monomorphic, i.e. exits would never
 be taken).  The decision rule for the ``planned`` strategy dimension:
 
-1. the speculation analysis says ``elide`` -> **guard-free**;
+1. no implementation of the selector other than the guarded target is
+   loaded, and the speculation analysis says ``elide`` ->
+   **guard-free**;
 2. the site is context-monomorphic under k-CFA for this compilation
    context, or the expected per-entry exit cost
    ``(1 - coverage) * (map-out + baseline-dispatch premium)`` is at or
@@ -199,7 +201,12 @@ class DeoptPlanner:
         # "planned": guard-free when invalidation alone is protection
         # enough, cheap-exit when exits are predicted never-taken or
         # cheaper in expectation than the guard chain, full-guard else.
-        if len(targets) == 1:
+        # Invalidation protects an unguarded entry only while no other
+        # implementation of the selector is loaded: the recorded CHA
+        # dependency fires on the load that adds one, and nothing fires
+        # for one that is loaded already.
+        if len(targets) == 1 and self._hierarchy.loaded_targets(
+                stmt.selector) <= frozenset((targets[0].id,)):
             verdict = self.speculation.speculate(stmt, comp_context,
                                                  targets[0])
             if verdict.action == ACTION_ELIDE:

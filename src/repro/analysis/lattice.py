@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.callgraph import (CHA, RTA, StaticCallGraph,
-                                      build_call_graph)
+from repro.analysis.callgraph import CHA, RTA, StaticCallGraph
 from repro.analysis.kcfa import (CallString, ContextSensitiveCallGraph,
-                                 build_kcfa_graph, truncate)
-from repro.analysis.soundness import (ContextEdges, flatten_context_edges,
-                                      observe_context_edges,
+                                 truncate)
+from repro.analysis.soundness import (ContextEdges, StaticGraphs,
+                                      flatten_context_edges,
+                                      observe_context_edges, static_graph,
                                       truncate_context_edges)
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
@@ -121,21 +121,23 @@ def build_lattice_report(program: Program,
                          policy=None,
                          costs: CostModel = DEFAULT_COSTS,
                          phase: float = 0.0,
-                         edges: Optional[ContextEdges] = None) \
+                         edges: Optional[ContextEdges] = None,
+                         graphs: Optional[StaticGraphs] = None) \
         -> LatticeReport:
     """Build every tier, replay once, and assemble the tiered comparison.
 
     ``edges`` can be passed in to reuse an existing observation (the
     lattice soundness check collects the same data); otherwise a
-    fixed-phase replay is performed here.
+    fixed-phase replay is performed here.  ``graphs`` (a
+    :func:`~repro.analysis.soundness.static_graph` memo) reuses tiers
+    already built and keeps the ones built here.
     """
     flat_graphs: Dict[str, StaticCallGraph] = {
-        precision: build_call_graph(program, precision=precision,
-                                    costs=costs)
+        precision: static_graph(program, precision, costs, graphs)
         for precision in (CHA, RTA)}
     kgraphs: Dict[str, ContextSensitiveCallGraph] = {}
     for k in ks:
-        graph = build_kcfa_graph(program, k=k, costs=costs)
+        graph = static_graph(program, f"{k}cfa", costs, graphs)
         kgraphs[graph.precision] = graph
     tiers = (CHA, RTA) + tuple(kgraphs)
 

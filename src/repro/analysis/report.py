@@ -23,17 +23,16 @@ import json
 import os
 from typing import Dict, List, Sequence
 
-from repro.analysis.callgraph import CHA, RTA, build_call_graph
-from repro.analysis.kcfa import build_kcfa_graph
+from repro.analysis.callgraph import CHA, RTA
 from repro.analysis.lattice import (LATTICE_KS, build_lattice_report,
                                     lattice_to_json)
 from repro.analysis.dataflow import static_speculation_summary
-from repro.analysis.soundness import (check_containment,
+from repro.analysis.soundness import (StaticGraphs, check_containment,
                                       check_elision_soundness,
                                       check_lattice_soundness,
                                       check_osr_soundness,
                                       observe_context_edges,
-                                      observe_dispatch_edges)
+                                      observe_dispatch_edges, static_graph)
 from repro.analysis.verifier import verify_program
 from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.errors import ConfigError
@@ -92,18 +91,17 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
     if not verification.ok:
         return payload
 
+    # Every static graph is built once and shared by the summaries, the
+    # lattice report and the soundness chain.
+    graphs: StaticGraphs = {}
     summaries: Dict[str, object] = {}
     for precision in precisions:
-        if precision in (CHA, RTA):
-            graph = build_call_graph(program, precision=precision,
-                                     costs=costs)
-            summaries[precision] = graph.summary()
-        elif precision == "0cfa":
-            summaries["0cfa"] = build_kcfa_graph(program, k=0,
-                                                 costs=costs).summary()
+        if precision in (CHA, RTA, "0cfa"):
+            summaries[precision] = static_graph(program, precision, costs,
+                                                graphs).summary()
         elif precision == "kcfa":
-            kgraph = build_kcfa_graph(program, k=k, costs=costs)
-            summaries[kgraph.precision] = kgraph.summary()
+            summaries[f"{k}cfa"] = static_graph(program, f"{k}cfa", costs,
+                                                graphs).summary()
         else:
             raise ConfigError(f"unknown analysis precision {precision!r}; "
                               f"expected one of {ANALYZE_PRECISIONS}")
@@ -116,13 +114,14 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
         edges = observe_context_edges(program, k=max(LATTICE_KS),
                                       costs=costs, phase=phase)
         report = build_lattice_report(program, costs=costs, phase=phase,
-                                      edges=edges)
+                                      edges=edges, graphs=graphs)
         payload["lattice"] = lattice_to_json(report)
 
     if soundness:
         if lattice:
             chain = check_lattice_soundness(program, costs=costs,
-                                            phase=phase, edges=edges)
+                                            phase=phase, edges=edges,
+                                            graphs=graphs)
             payload["soundness"] = {
                 "ok": chain.ok,
                 "violation_codes": list(chain.violation_codes()),
@@ -136,7 +135,7 @@ def analyze_program(program: Program, costs: CostModel = DEFAULT_COSTS,
                 } for section in chain.sections],
             }
         else:
-            cha_graph = build_call_graph(program, precision=CHA, costs=costs)
+            cha_graph = static_graph(program, CHA, costs, graphs)
             observed = observe_dispatch_edges(program, costs=costs,
                                               phase=phase)
             report = check_containment(cha_graph, observed)

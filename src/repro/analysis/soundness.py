@@ -40,6 +40,28 @@ from repro.jvm.costs import DEFAULT_COSTS, CostModel
 from repro.jvm.program import Program
 from repro.provenance.diff import DecisionDiff, Flip
 
+#: Static call graphs already built for one program, keyed by tier name
+#: (``"cha"``, ``"rta"``, ``"<k>cfa"``); see :func:`static_graph`.
+StaticGraphs = Dict[str, object]
+
+
+def static_graph(program: Program, tier: str,
+                 costs: CostModel = DEFAULT_COSTS,
+                 graphs: Optional[StaticGraphs] = None):
+    """The ``tier`` call graph of ``program``, built at most once per
+    ``graphs`` memo (which it fills); without one, built afresh."""
+    graph = graphs.get(tier) if graphs is not None else None
+    if graph is None:
+        if tier in (CHA, RTA):
+            graph = build_call_graph(program, precision=tier, costs=costs)
+        else:
+            graph = build_kcfa_graph(program, k=int(tier[:-len("cfa")]),
+                                     costs=costs)
+        if graphs is not None:
+            graphs[tier] = graph
+    return graph
+
+
 #: Attribution buckets for decision-diff flips.
 ATTR_STATIC_DECIDED = "static-decided"    #: CHA-monomorphic site
 ATTR_PROFILE_DECIDED = "profile-decided"  #: CHA-polymorphic dispatch site
@@ -527,7 +549,8 @@ def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
                             policy=None,
                             costs: CostModel = DEFAULT_COSTS,
                             phase: float = 0.0,
-                            edges: Optional[ContextEdges] = None) \
+                            edges: Optional[ContextEdges] = None,
+                            graphs: Optional[StaticGraphs] = None) \
         -> LatticeSoundnessReport:
     """Replay once; assert observed ⊆ kCFA(ctx) ⊆ ... ⊆ RTA ⊆ CHA.
 
@@ -535,7 +558,8 @@ def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
     each k-CFA tier is checked context-conditioned.  One replay feeds
     every tier, so the sections are comparable edge-for-edge.  Pass
     ``edges`` (from :func:`observe_context_edges` at depth >= max(ks))
-    to reuse an existing observation instead of replaying here.
+    to reuse an existing observation instead of replaying here, and
+    ``graphs`` (a :func:`static_graph` memo) to reuse the tiers' graphs.
     """
     max_k = max(ks) if ks else 0
     if edges is None:
@@ -544,10 +568,10 @@ def check_lattice_soundness(program: Program, ks: Tuple[int, ...] = (0, 1, 2),
     flat = flatten_context_edges(edges)
     sections: List[SoundnessReport] = []
     for precision in (CHA, RTA):
-        graph = build_call_graph(program, precision=precision, costs=costs)
+        graph = static_graph(program, precision, costs, graphs)
         sections.append(check_containment(graph, flat))
     for k in ks:
-        kgraph = build_kcfa_graph(program, k=k, costs=costs)
+        kgraph = static_graph(program, f"{k}cfa", costs, graphs)
         sections.append(check_context_containment(kgraph, edges))
     return LatticeSoundnessReport(program_name=program.name,
                                   sections=tuple(sections))

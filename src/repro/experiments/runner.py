@@ -3,10 +3,11 @@
 One *cell* of the sweep runs a freshly generated benchmark program under a
 policy at several sampling phases and keeps the best run (minimum total
 cycles), mirroring the paper's best-of-N methodology for its
-non-deterministic timer-sampled system.  The benchmark program is built
-once per cell and shared by every phase run (generation is
+non-deterministic timer-sampled system.  The benchmark program is shared
+by every phase run, and by consecutive cells of the same benchmark in one
+process, so a sweep builds each program once per pass (generation is
 seed-deterministic and each :class:`AdaptiveRuntime` owns its own
-hierarchy and code cache, so per-phase regeneration was pure waste).
+hierarchy and code cache, so regenerating it would be pure waste).
 
 Cells are independent, so the sweep fans out over worker processes.  The
 pool layer is fault tolerant: a cell whose worker crashes or raises is
@@ -115,13 +116,16 @@ def run_cell(benchmark: str, family: str, depth: int,
              costs: CostModel = DEFAULT_COSTS,
              probe: Optional[TerminationStatsProbe] = None,
              collect_telemetry: bool = False,
-             collect_provenance: bool = False) \
+             collect_provenance: bool = False,
+             generated: Optional[GeneratedBenchmark] = None) \
         -> Union[RunResult, Tuple]:
     """Best-of-phases run for one sweep cell (paper methodology).
 
     The benchmark program is generated once and shared by all phase runs;
     every :class:`AdaptiveRuntime` builds its own hierarchy, code cache,
-    and profile state, so runs stay independent.
+    and profile state, so runs stay independent.  ``generated`` passes in
+    a program already built for ``(benchmark, scale)``, shared the same
+    way.
 
     When a ``probe`` is passed, each phase runs under its own fresh
     :class:`TerminationStatsProbe` and only the *best* run's probe state
@@ -136,7 +140,8 @@ def run_cell(benchmark: str, family: str, depth: int,
     ``(result, snapshot)``, ``(result, log)``, or
     ``(result, snapshot, log)``.
     """
-    generated = build_benchmark(benchmark, scale=scale)
+    if generated is None:
+        generated = build_benchmark(benchmark, scale=scale)
     best: Optional[RunResult] = None
     best_snapshot: Optional[TelemetrySnapshot] = None
     best_log: Optional[DecisionLog] = None
@@ -180,6 +185,24 @@ def run_cell(benchmark: str, family: str, depth: int,
     return best
 
 
+#: The last program a cell worker built, as ``{(benchmark, scale):
+#: generated}``.  Sweep cells come benchmark-major, so consecutive cells
+#: in one process (the in-process path, or one pool worker) build the
+#: same program; a program is read-only to every run, exactly as
+#: :func:`run_cell` already shares one across its phases.
+_last_built: Dict[Tuple[str, float], GeneratedBenchmark] = {}
+
+
+def _shared_build(benchmark: str, scale: float) -> GeneratedBenchmark:
+    key = (benchmark, scale)
+    generated = _last_built.get(key)
+    if generated is None:
+        _last_built.clear()
+        generated = _last_built[key] = build_benchmark(benchmark,
+                                                       scale=scale)
+    return generated
+
+
 def _cell_worker(args) \
         -> Tuple[CellKey, RunResult, Optional[TelemetrySnapshot],
                  Optional[DecisionLog]]:
@@ -189,7 +212,8 @@ def _cell_worker(args) \
     log: Optional[DecisionLog] = None
     outcome = run_cell(benchmark, family, depth, phases, scale,
                        probe=probe, collect_telemetry=collect_telemetry,
-                       collect_provenance=collect_provenance)
+                       collect_provenance=collect_provenance,
+                       generated=_shared_build(benchmark, scale))
     if collect_telemetry and collect_provenance:
         result, snapshot, log = outcome
     elif collect_telemetry:
@@ -484,8 +508,11 @@ def run_sweep(config: Optional[SweepConfig] = None,
         if jobs > 1:
             pending = _run_cells_parallel(pending, args_for, jobs,
                                           config.cell_timeout, finish, fail)
-        for key in pending:
-            _run_cell_with_retry(key, args_for(key), finish, fail)
+        try:
+            for key in pending:
+                _run_cell_with_retry(key, args_for(key), finish, fail)
+        finally:
+            _last_built.clear()
 
     return SweepResults(config=config, cells=results, telemetry=telemetry,
                         failures=failures)

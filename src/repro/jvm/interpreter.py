@@ -15,14 +15,21 @@ Everything the paper measures flows through here:
 * the tick hook that drives timer-based sampling and the periodic
   organizers.
 
-The interpreter is a plain recursive evaluator with integer-tag dispatch;
-that keeps a full benchmark run in the hundred-millisecond range, which in
-turn keeps the paper's 200-run parameter sweep laptop-scale.
+The simulated machine is itself tiered on the host, the way the paper's
+adaptive system is: a body is run by a recursive tree-walker with
+integer-tag dispatch (the cold tier) until it has been entered
+:data:`HOT_ENTRY_THRESHOLD` times, and from then on by closures compiled
+once for it (the hot tier, :mod:`repro.jvm.closures`).  The two tiers
+charge the same cycles in the same order, so which tier ran a body never
+shows in any simulated result.  Full-scale runs of the eight benchmark
+personalities take seconds of host time each; DESIGN.md ("Host execution
+tiers") gives the invariants.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import sys
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.aos.cost_accounting import APP, COMPILATION, CostAccounting
 from repro.compiler.code_cache import CodeCache
@@ -30,6 +37,7 @@ from repro.compiler.compiled_method import (DEOPT_CHEAP_EXIT,
                                             ELIDE_EXHAUSTIVE, ELIDE_OSR_EXIT,
                                             ELIDE_PREEXIST,
                                             GUARDED, InlineNode)
+from repro.jvm.closures import BodyCompiler, Runner
 from repro.jvm.costs import CostModel
 from repro.jvm.errors import ExecutionError
 from repro.jvm.frames import Frame
@@ -43,10 +51,29 @@ from repro.jvm.program import (
 from repro.jvm.values import Instance, Value
 from repro.telemetry.recorder import NULL_RECORDER
 
-#: Hard cap on source-level stack depth; exceeding it is a workload bug.
-#: Kept below what Python's default recursion limit can host (each
-#: simulated frame costs a few interpreter frames).
-MAX_STACK_DEPTH = 220
+#: Hard cap on source-level stack depth; exceeding it is a workload bug
+#: (runaway recursion) and raises :class:`ExecutionError`.  Sized so a
+#: recursion this deep through a simple body stays within about 18,000
+#: Python frames, which the C stack of Python 3.9 and 3.10 (where every
+#: Python call also recurses in C) can host.
+MAX_STACK_DEPTH = 3000
+
+#: Python frames budgeted per simulated frame.  One activation takes two
+#: to six (the invocation, the body's runner, the call statement, one or
+#: two more per enclosing loop or branch, one for a local probe), and
+#: :meth:`Machine.run` raises the host recursion limit to fit
+#: :data:`MAX_STACK_DEPTH` such frames plus :data:`HOST_FRAME_RESERVE`
+#: for the caller and the tick handler.
+PY_FRAMES_PER_SIM_FRAME = 8
+HOST_FRAME_RESERVE = 2000
+
+#: Entries after which a body leaves the tree-walker for compiled
+#: closures.  Most bodies of a short run are entered only a few times,
+#: and compiling those would cost more than walking them; a body entered
+#: this often is usually entered thousands of times more.  A constant,
+#: not a cost-model field: it changes host time only, never a simulated
+#: result.
+HOT_ENTRY_THRESHOLD = 8
 
 
 class MachineStats:
@@ -153,6 +180,22 @@ class Machine:
         self.deopt_exit_observer: Optional[Callable] = None
         self.local_probe: Optional[Callable] = None
 
+        # Host execution tiers (see :meth:`run`).  The hooks both tiers
+        # test on hot paths are read once, when the run starts.
+        self._probe: Optional[Callable] = None
+        self._progress: Optional[dict] = None
+        self._progress_observer: Optional[Callable[[str], None]] = None
+        self._dispatch_observer: Optional[Callable[[int, str], None]] = None
+        self._compiler: Optional[BodyCompiler] = None
+        #: Compiled bodies: baseline ones per method, optimized ones per
+        #: inline-tree node (roots at the opt multiplier, inlined bodies
+        #: at the inline multiplier).
+        self._baseline_code: Dict[MethodDef, Runner] = {}
+        self._opt_code: Dict[InlineNode, Runner] = {}
+        self._inline_code: Dict[InlineNode, Runner] = {}
+        #: Entries so far of each body still in the tree-walker.
+        self._entries: Dict[tuple, int] = {}
+
     # -- cost charging -----------------------------------------------------
 
     def charge(self, component: str, cycles: float) -> None:
@@ -196,11 +239,55 @@ class Machine:
     # -- entry point -------------------------------------------------------
 
     def run(self, args: Sequence[Value] = ()) -> Value:
-        """Execute the program's entry method to completion."""
+        """Execute the program's entry method to completion.
+
+        Fixes the hooks both tiers test on hot paths (local probe,
+        progress points, dispatch observer) for the whole run, raises the
+        host recursion limit to fit :data:`MAX_STACK_DEPTH` simulated
+        frames, and drops every compiled closure when the run ends.
+        """
         entry = self.program.entry_method()
-        return self._invoke(entry, tuple(args), None)
+        self._probe = self.local_probe
+        self._progress = self.progress_loops or None
+        self._progress_observer = self.progress_observer
+        self._dispatch_observer = self.dispatch_observer
+        self._compiler = BodyCompiler(self)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(
+            limit, MAX_STACK_DEPTH * PY_FRAMES_PER_SIM_FRAME
+            + HOST_FRAME_RESERVE))
+        try:
+            return self._invoke(entry, tuple(args), None)
+        except RecursionError:
+            # Deeply nested bodies can outgrow the per-frame budget
+            # before the simulated cap; it is the same overflow.
+            raise ExecutionError(
+                "stack overflow: nesting exhausted the host recursion "
+                "limit") from None
+        finally:
+            sys.setrecursionlimit(limit)
+            self._compiler = None
+            self._baseline_code.clear()
+            self._opt_code.clear()
+            self._inline_code.clear()
+            self._entries.clear()
 
     # -- invocation --------------------------------------------------------
+
+    def _hot_body(self, table: Dict, key, body: Sequence[Stmt], mult: float,
+                  node: Optional[InlineNode],
+                  method: Optional[MethodDef] = None) -> Optional[Runner]:
+        """Count one more entry of a body still in the tree-walker; past
+        the threshold, compile it, cache it in ``table`` and return it."""
+        entries = self._entries
+        count_key = (key, mult)
+        count = entries.get(count_key, 0) + 1
+        if count < HOT_ENTRY_THRESHOLD:
+            entries[count_key] = count
+            return None
+        entries.pop(count_key, None)
+        code = table[key] = self._compiler.body(body, mult, node, method)
+        return code
 
     def _invoke(self, method: MethodDef, args: tuple, site: Optional[int]) -> Value:
         """Out-of-line invocation of ``method`` (its own physical frame)."""
@@ -213,9 +300,15 @@ class Machine:
         try:
             compiled = self.code_cache.opt_version(method.id)
             if compiled is not None:
-                result = self._exec_body(
-                    method.body, args, [0] * method.num_locals,
-                    self._opt_mult, compiled.root)
+                root = compiled.root
+                code = self._opt_code.get(root) or self._hot_body(
+                    self._opt_code, root, method.body, self._opt_mult, root)
+                if code is not None:
+                    result = code(args, [0] * method.num_locals)
+                else:
+                    result = self._exec_body(
+                        method.body, args, [0] * method.num_locals,
+                        self._opt_mult, root)
             else:
                 if not self.code_cache.has_baseline(method.id):
                     # ``self_cycles`` is passed explicitly: the charge can
@@ -228,9 +321,15 @@ class Machine:
                     self.charge(COMPILATION, cycles)
                     self.telemetry.end_span(span_id, self_cycles=cycles,
                                             bytecodes=method.bytecodes)
-                result = self._exec_body(
-                    method.body, args, [0] * method.num_locals,
-                    self._baseline_mult, None)
+                code = self._baseline_code.get(method) or self._hot_body(
+                    self._baseline_code, method, method.body,
+                    self._baseline_mult, None, method)
+                if code is not None:
+                    result = code(args, [0] * method.num_locals)
+                else:
+                    result = self._exec_body(
+                        method.body, args, [0] * method.num_locals,
+                        self._baseline_mult, None)
         finally:
             stack.pop()
         return 0 if result is None else result
@@ -245,20 +344,25 @@ class Machine:
         self.stats.inline_entries += 1
         stack.append(Frame(callee, site, True))
         try:
-            result = self._exec_body(
-                callee.body, args, [0] * callee.num_locals,
-                self._inline_mult, node)
+            code = self._inline_code.get(node) or self._hot_body(
+                self._inline_code, node, callee.body, self._inline_mult, node)
+            if code is not None:
+                result = code(args, [0] * callee.num_locals)
+            else:
+                result = self._exec_body(
+                    callee.body, args, [0] * callee.num_locals,
+                    self._inline_mult, node)
         finally:
             stack.pop()
         return 0 if result is None else result
 
-    # -- statement execution ------------------------------------------------
+    # -- statement execution (the cold tier) ----------------------------------
 
     def _exec_body(self, body: Sequence[Stmt], args: tuple, locals_: list,
                    mult: float, node: Optional[InlineNode]):
         """Execute statements; return the Return value or ``None`` if none."""
         costs = self.costs
-        probe = self.local_probe
+        probe = self._probe
         for stmt in body:
             k = stmt.kind
             if k == S_WORK:
@@ -302,14 +406,13 @@ class Machine:
                 count = self._eval(stmt.count, args, locals_)
                 idx = stmt.index_local
                 loop_body = stmt.body
-                progress = (self.progress_loops.get(id(stmt))
-                            if self.progress_loops else None)
+                progress = (self._progress.get(id(stmt))
+                            if self._progress is not None else None)
                 if node is None and costs.osr_enabled:
                     # Baseline tier: count back edges, request compilation
                     # past the threshold, and poll for installed optimized
                     # code to transfer onto (on-stack replacement).
-                    method = self.stack[-1].method
-                    method_id = method.id
+                    method_id = self.stack[-1].method.id
                     poll = costs.osr_poll_period
                     edges = self.backedge_counts.get(method_id, 0)
                     for i in range(count):
@@ -322,40 +425,17 @@ class Machine:
                             self.backedge_counts[method_id] = edges + i + 1
                             return result
                         if progress is not None:
-                            self.progress_observer(progress)
+                            self._progress_observer(progress)
                         if (i + 1) % poll == 0:
-                            total = edges + i + 1
-                            if (total >= costs.osr_backedge_threshold
-                                    and method_id not in self._osr_notified
-                                    and self.osr_handler is not None):
-                                self._osr_notified.add(method_id)
-                                self.osr_handler(method_id)
+                            self._osr_notify(method_id, edges + i + 1)
                             if node is None:
-                                compiled = self.code_cache.opt_version(
-                                    method_id)
-                                if compiled is not None:
-                                    # Transfer the rest of this loop (and
-                                    # the remainder of the activation)
-                                    # onto the optimized code.
-                                    node = compiled.root
+                                # Transfer the rest of this loop (and the
+                                # remainder of the activation) onto the
+                                # optimized code.
+                                node = self._osr_transfer(stmt, method_id,
+                                                          locals_)
+                                if node is not None:
                                     mult = self._opt_mult
-                                    self.stats.osr_transfers += 1
-                                    self.stack[-1].osr = True
-                                    if self.osr_liveness is not None:
-                                        # Map the live frame state into
-                                        # the optimized layout: the OSR
-                                        # transition's dominant cost.
-                                        live = self.osr_liveness.get(
-                                            id(stmt), ())
-                                        self._charge_app(
-                                            len(live)
-                                            * costs.osr_map_in_cost)
-                                    if self.osr_entry_observer is not None:
-                                        self.osr_entry_observer(
-                                            method_id, stmt, locals_)
-                                    self.telemetry.instant(
-                                        APP, "osr_transfer",
-                                        method=method_id)
                     self.backedge_counts[method_id] = edges + count
                 else:
                     for i in range(count):
@@ -367,7 +447,7 @@ class Machine:
                         if result is not None:
                             return result
                         if progress is not None:
-                            self.progress_observer(progress)
+                            self._progress_observer(progress)
             elif k == S_IF:
                 cond = self._eval(stmt.cond, args, locals_)
                 branch = stmt.then_body if cond else stmt.else_body
@@ -408,86 +488,12 @@ class Machine:
         call_args = (receiver,) + tuple(
             self._eval(a, args, locals_) for a in stmt.args)
         decision = node.decisions.get(stmt.site) if node is not None else None
-        observer = self.dispatch_observer
+        observer = self._dispatch_observer
         if decision is not None:
             if decision.kind == GUARDED:
-                resolved = self.hierarchy.resolve(receiver.klass, stmt.selector)
-                if observer is not None:
-                    observer(stmt.site, resolved.id)
-                for option in decision.options:
-                    elided = option.elided
-                    if elided is None:
-                        self.stats.guard_tests += 1
-                        self._charge_app(costs.guard_test * mult)
-                        if option.target is resolved:
-                            return self._enter_inlined(
-                                resolved, call_args, stmt.site, option.node)
-                    elif elided == ELIDE_OSR_EXIT:
-                        # Cheap-exit OSR point: the compiled code carries
-                        # no test at all -- entry happens through the
-                        # dispatch the machine already resolved, so a
-                        # matching target is entered at zero guard cost
-                        # and a mismatch falls through toward the
-                        # deoptimization exit below.
-                        if option.target is resolved:
-                            self.stats.deopt_entries += 1
-                            return self._enter_inlined(
-                                resolved, call_args, stmt.site, option.node)
-                    elif elided in (ELIDE_PREEXIST, ELIDE_EXHAUSTIVE):
-                        # Guard compiled out: for "preexist" invalidation
-                        # protects the entry; for "exhaustive" (always
-                        # the last option) every earlier guard missing
-                        # implies this one hits.  Either way the compiled
-                        # code jumps straight into the inlined body at
-                        # zero cost.  Entering ``option.target`` (not
-                        # ``resolved``) is the point: if the argument
-                        # were wrong the wrong body would run, which is
-                        # what the elision-replay checker detects.
-                        self.stats.elided_entries += 1
-                        if self.elision_observer is not None:
-                            self.elision_observer(stmt.site, elided,
-                                                  option.target.id,
-                                                  resolved.id)
-                        return self._enter_inlined(
-                            option.target, call_args, stmt.site, option.node)
-                    else:  # "dominated": reuse the dominating guard's result
-                        dom_selector, dom_target = option.elided_on
-                        if self.hierarchy.resolve(
-                                receiver.klass, dom_selector) is dom_target:
-                            # The dominating guard passed, which implies
-                            # this guard would have too (acceptance-set
-                            # containment); no test is charged because
-                            # the compiled code branches on the already-
-                            # computed outcome.
-                            self.stats.elided_entries += 1
-                            if self.elision_observer is not None:
-                                self.elision_observer(stmt.site, elided,
-                                                      option.target.id,
-                                                      resolved.id)
-                            return self._enter_inlined(
-                                option.target, call_args, stmt.site,
-                                option.node)
-                        # Dominating guard missed: treat as a miss here
-                        # too and continue to the next option / fallback.
-                if decision.deopt == DEOPT_CHEAP_EXIT:
-                    # Broken speculation at a cheap-exit OSR point: map
-                    # the site's pruned live state out of the optimized
-                    # frame and finish the dispatch at the baseline tier
-                    # (the deoptimization exit is expensive exactly so
-                    # the fast path could carry no guard).
-                    self.stats.deopt_exits += 1
-                    self._charge_app(
-                        len(decision.exit_live) * costs.osr_map_out_cost
-                        + dispatch_cost * self._baseline_mult)
-                    if self.deopt_exit_observer is not None:
-                        self.deopt_exit_observer(stmt.site,
-                                                 decision.exit_live, locals_)
-                    return self._invoke(resolved, call_args, stmt.site)
-                # Every guard failed: fall back to full dispatch.
-                self.stats.guard_misses += 1
-                self.stats.dispatches += 1
-                self._charge_app(dispatch_cost * mult)
-                return self._invoke(resolved, call_args, stmt.site)
+                return self._guarded_call(stmt, decision, receiver,
+                                          call_args, locals_, mult,
+                                          dispatch_cost)
             # DIRECT: statically bound by CHA, no guard executed.
             option = decision.sole
             if observer is not None:
@@ -501,6 +507,117 @@ class Machine:
         self._charge_app(dispatch_cost * mult)
         return self._invoke(resolved, call_args, stmt.site)
 
+    # -- paths both tiers share --------------------------------------------------
+
+    def _guarded_call(self, stmt, decision, receiver: Instance,
+                      call_args: tuple, locals_: list, mult: float,
+                      dispatch_cost: int) -> Value:
+        """A virtual call at a guarded inline site: walk the options, and
+        deoptimize or dispatch when none is entered."""
+        costs = self.costs
+        resolved = self.hierarchy.resolve(receiver.klass, stmt.selector)
+        if self._dispatch_observer is not None:
+            self._dispatch_observer(stmt.site, resolved.id)
+        for option in decision.options:
+            elided = option.elided
+            if elided is None:
+                self.stats.guard_tests += 1
+                self._charge_app(costs.guard_test * mult)
+                if option.target is resolved:
+                    return self._enter_inlined(
+                        resolved, call_args, stmt.site, option.node)
+            elif elided == ELIDE_OSR_EXIT:
+                # Cheap-exit OSR point: the compiled code carries no test
+                # at all -- entry happens through the dispatch the machine
+                # already resolved, so a matching target is entered at
+                # zero guard cost and a mismatch falls through toward the
+                # deoptimization exit below.
+                if option.target is resolved:
+                    self.stats.deopt_entries += 1
+                    return self._enter_inlined(
+                        resolved, call_args, stmt.site, option.node)
+            elif elided in (ELIDE_PREEXIST, ELIDE_EXHAUSTIVE):
+                # Guard compiled out: for "preexist" invalidation protects
+                # the entry; for "exhaustive" (always the last option)
+                # every earlier guard missing implies this one hits.
+                # Either way the compiled code jumps straight into the
+                # inlined body at zero cost.  Entering ``option.target``
+                # (not ``resolved``) is the point: if the argument were
+                # wrong the wrong body would run, which is what the
+                # elision-replay checker detects.
+                self.stats.elided_entries += 1
+                if self.elision_observer is not None:
+                    self.elision_observer(stmt.site, elided,
+                                          option.target.id, resolved.id)
+                return self._enter_inlined(
+                    option.target, call_args, stmt.site, option.node)
+            else:  # "dominated": reuse the dominating guard's result
+                dom_selector, dom_target = option.elided_on
+                if self.hierarchy.resolve(
+                        receiver.klass, dom_selector) is dom_target:
+                    # The dominating guard passed, which implies this
+                    # guard would have too (acceptance-set containment);
+                    # no test is charged because the compiled code
+                    # branches on the already-computed outcome.
+                    self.stats.elided_entries += 1
+                    if self.elision_observer is not None:
+                        self.elision_observer(stmt.site, elided,
+                                              option.target.id, resolved.id)
+                    return self._enter_inlined(
+                        option.target, call_args, stmt.site, option.node)
+                # Dominating guard missed: treat as a miss here too and
+                # continue to the next option / fallback.
+        if decision.deopt == DEOPT_CHEAP_EXIT:
+            # Broken speculation at a cheap-exit OSR point: map the site's
+            # pruned live state out of the optimized frame and finish the
+            # dispatch at the baseline tier (the deoptimization exit is
+            # expensive exactly so the fast path could carry no guard).
+            self.stats.deopt_exits += 1
+            self._charge_app(
+                len(decision.exit_live) * costs.osr_map_out_cost
+                + dispatch_cost * self._baseline_mult)
+            if self.deopt_exit_observer is not None:
+                self.deopt_exit_observer(stmt.site, decision.exit_live,
+                                         locals_)
+            return self._invoke(resolved, call_args, stmt.site)
+        # Every guard failed: fall back to full dispatch.
+        self.stats.guard_misses += 1
+        self.stats.dispatches += 1
+        self._charge_app(dispatch_cost * mult)
+        return self._invoke(resolved, call_args, stmt.site)
+
+    def _osr_notify(self, method_id: str, backedges: int) -> None:
+        """Back-edge poll of a baseline loop: past the threshold, ask the
+        adaptive system (once) to compile ``method_id``."""
+        if (backedges >= self.costs.osr_backedge_threshold
+                and method_id not in self._osr_notified
+                and self.osr_handler is not None):
+            self._osr_notified.add(method_id)
+            self.osr_handler(method_id)
+
+    def _osr_transfer(self, loop_stmt, method_id: str,
+                      locals_: list) -> Optional[InlineNode]:
+        """Move a running baseline loop onto installed optimized code.
+
+        Returns the optimized inline tree's root, or ``None`` while no
+        optimized code is installed.  The caller runs the rest of the
+        loop, and the rest of the enclosing statement sequence, on it.
+        """
+        compiled = self.code_cache.opt_version(method_id)
+        if compiled is None:
+            return None
+        self.stats.osr_transfers += 1
+        self.stack[-1].osr = True
+        if self.osr_liveness is not None:
+            # Map the live frame state into the optimized layout: the OSR
+            # transition's dominant cost.
+            live = self.osr_liveness.get(id(loop_stmt), ())
+            self._charge_app(len(live) * self.costs.osr_map_in_cost)
+        if self.osr_entry_observer is not None:
+            self.osr_entry_observer(method_id, loop_stmt, locals_)
+        self.telemetry.instant(APP, "osr_transfer", method=method_id)
+        return compiled.root
+
     # -- expression evaluation ----------------------------------------------
 
     def _eval(self, expr: Expr, args: tuple, locals_: list) -> Value:
@@ -510,8 +627,8 @@ class Machine:
         if k == E_ARG:
             return args[expr.index]
         if k == E_LOCAL:
-            if self.local_probe is not None:
-                self.local_probe(locals_, expr.index, True)
+            if self._probe is not None:
+                self._probe(locals_, expr.index, True)
             return locals_[expr.index]
         if k == E_ADD:
             return self._eval(expr.left, args, locals_) + \

@@ -147,6 +147,18 @@ class TestPlanSite:
         assert plan.ctx_mono
         assert plan.strategy == STRATEGY_OSR_EXIT
 
+    def test_no_guard_free_with_another_target_loaded(self):
+        # Circle.area is the profiled target, but Square is loaded too:
+        # a Square receiver already exists, no later class load would
+        # invalidate an unguarded entry, so the planner must keep a
+        # guard or an exit.
+        program = shapes_program()
+        planner = _planner(program, loaded=("Square",))
+        stmt = program.method("App.use").body[0]
+        plan = planner.plan_site(
+            stmt, (("App.use", 0),), [program.method("Circle.area")])
+        assert plan.strategy != STRATEGY_GUARD_FREE
+
     def test_unknown_strategy_rejected(self):
         program = shapes_program()
         with pytest.raises(ConfigError):
@@ -244,6 +256,26 @@ class TestStrategiesEndToEnd:
             if option.elided == ELIDE_OSR_EXIT
         ]
         assert exit_options
+
+
+class TestPlannedComputesWhatGuardComputes:
+    def test_planned_executes_the_same_work_as_guard(self):
+        """Inlining changes costs, never semantics: the planned strategy
+        must run exactly the Work units the stock guard chain runs.
+        Here (db, seed offset 1, phase from ``Random(1)``) it used to
+        enter hundreds of unguarded inlined bodies of the wrong target."""
+        program = build_benchmark("db", scale=0.05, seed_offset=1).program
+        work = {}
+        for strategy in ("guard", "planned"):
+            costs = DEFAULT_COSTS.replace(speculation_enabled=True,
+                                          deopt_planning_enabled=True,
+                                          deopt_strategy=strategy)
+            runtime = AdaptiveRuntime(
+                program, make_policy("cins", 1, costs=costs), costs,
+                sample_phase=0.13436424411240122)
+            runtime.run()
+            work[strategy] = runtime.machine.stats.work_cycles
+        assert work["planned"] == work["guard"]
 
 
 class TestOSRSoundnessReplay:

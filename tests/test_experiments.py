@@ -73,6 +73,46 @@ class TestRunner:
         assert -100.0 < value < 100.0
 
 
+class TestBuildOncePerPass:
+    def test_in_process_sweep_builds_each_benchmark_once(self,
+                                                         monkeypatch):
+        """The 104-cell grid is benchmark-major: an in-process pass
+        builds each of the eight programs once, and every cell of a
+        benchmark runs on that one program."""
+        built = []
+        real_build = runner.build_benchmark
+
+        def counting_build(name, scale=1.0, seed_offset=0):
+            built.append(name)
+            return real_build(name, scale=scale, seed_offset=seed_offset)
+
+        seen = {}
+
+        def fake_cell(benchmark, family, depth, phases, scale, probe=None,
+                      collect_telemetry=False, collect_provenance=False,
+                      generated=None):
+            assert generated.program.name == benchmark
+            seen.setdefault(benchmark, set()).add(id(generated))
+            return "result"
+
+        monkeypatch.setattr(runner, "build_benchmark", counting_build)
+        monkeypatch.setattr(runner, "run_cell", fake_cell)
+        config = SweepConfig(depths=(2, 4), phases=(0.0,), scale=0.01,
+                             jobs=1)
+        results = run_sweep(config)
+        assert len(results.cells) == 104
+        assert built == list(BENCHMARK_ORDER)
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert not runner._last_built  # the pass keeps no program alive
+
+    def test_shared_program_cells_equal_fresh_cells(self, tiny_sweep):
+        # Cells after the first of each benchmark ran on the program the
+        # first one built; each must equal a cell built from scratch.
+        for key in (("jess", "hybrid1", 2), ("db", "fixed", 2)):
+            fresh = run_cell(*key, phases=TINY.phases, scale=TINY.scale)
+            assert tiny_sweep.cells[key] == fresh
+
+
 class TestSerialization:
     def test_round_trip(self, tiny_sweep):
         text = tiny_sweep.to_json()

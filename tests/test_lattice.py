@@ -117,3 +117,35 @@ class TestViolations:
 class TestKs:
     def test_default_ks_cover_supported_depths(self):
         assert LATTICE_KS == (0, 1, 2)
+
+
+class TestGraphsBuiltOnce:
+    def test_analyze_program_builds_each_static_graph_once(self,
+                                                           monkeypatch):
+        """The summaries, the lattice report and the soundness chain share
+        one CHA, one RTA and one k-CFA graph per k, and the shared graphs
+        give the lattice section a report built on its own gives."""
+        import sys
+
+        from repro.analysis import analyze_program, callgraph, kcfa
+
+        program, _sites = build_context_program()
+        alone = lattice_to_json(build_lattice_report(program))
+        calls = {"call_graph": 0, "kcfa": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            for module in list(sys.modules.values()):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+        counting(callgraph.build_call_graph, "call_graph")
+        counting(kcfa.build_kcfa_graph, "kcfa")
+        report = analyze_program(program, lattice=True)
+        assert calls == {"call_graph": 2, "kcfa": len(LATTICE_KS)}
+        assert json.dumps(report["lattice"], sort_keys=True) == \
+            json.dumps(alone, sort_keys=True)
+        assert report["soundness"]["ok"]
